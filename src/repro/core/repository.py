@@ -41,13 +41,17 @@ never the reverse, so the two layers can never deadlock.
 
 The §3 scan order is maintained *incrementally*, and registration is
 **batched**: entries added while no scan is running accumulate in a
-pending batch, and the next ``ordered_entries()`` call integrates the
-whole batch at once — the subsumption pairs are still computed (with
-fingerprint pruning) per entry, but the list maintenance collapses to
-one final sort instead of per-insert ``insort`` plus repositioning.
+pending batch, and the next scan integrates the whole batch at once —
+the subsumption pairs are still computed (with fingerprint pruning)
+per entry, and placement costs whichever is cheaper for the observed
+sizes: a bisection per batch entry when the batch is small next to the
+integrated list, one sort of the merged list otherwise (bulk loads).
 The resulting order is provably identical to one-at-a-time inserts:
 the sort key is a strict total order (the insertion sequence breaks
 every tie), so any maintenance strategy converges to the same list.
+The same fact lets a match scan sort just its surviving candidates by
+the scan key instead of walking the whole order: a submission pays for
+the entries pruning keeps, not for the repository.
 """
 
 from __future__ import annotations
@@ -189,6 +193,8 @@ class RepositoryIndexStats:
     #: batched order flushes, and entries amortized across them
     batch_flushes: int = 0
     batch_entries: int = 0
+    #: batch entries placed by bisection rather than by a list sort
+    batch_bisections: int = 0
 
 
 class _IndexShard:
@@ -257,7 +263,7 @@ class Repository:
         self._sorted: List[str] = []
         #: added but not yet integrated into the order (lazy, so
         #: ordering-free workloads never pay for matcher calls; flushed
-        #: as one amortized batch by the next ordered scan)
+        #: as one batch by the next ordered scan)
         self._pending: List[str] = []
         #: durability hooks: called as ``listener(kind, entry)`` with
         #: kind "added"/"removed"/"refreshed", *under the repository
@@ -373,8 +379,9 @@ class Repository:
 
         The batch defers subsumption-order upkeep: all entries land in
         the pending set and the next ordered scan (or :meth:`flush`)
-        integrates them together, paying one list sort for the whole
-        batch instead of an ``insort`` plus repositioning per insert.
+        integrates them together — by bisection when the batch is
+        small next to the integrated order, by one list sort of the
+        merged order when it is not (see :meth:`_integrate_batch`).
         """
         with self._lock:
             return [self._add_locked(entry) for entry in entries]
@@ -612,7 +619,9 @@ class Repository:
         """True when *inner* is a sub-multiset of *outer* — necessary
         for inner's plan to be contained in outer's (every repo
         operator needs a distinct, signature-equal image)."""
-        return all(outer.get(sig, 0) >= n for sig, n in inner.items())
+        if not inner.keys() <= outer.keys():
+            return False  # rejects most pairs without a Python loop
+        return all(outer[sig] >= n for sig, n in inner.items())
 
     def match_candidates(
         self, plan: PhysicalPlan, *, indexed: bool = True
@@ -625,34 +634,47 @@ class Repository:
         ablation baseline.  Pruning is sound: it only removes entries
         whose Load set or operator-signature multiset proves Algorithm
         1 would reject them, so the surviving first match is byte-for-
-        byte the one the full scan finds.  The returned list is a
-        snapshot: entries removed concurrently stay visible to a scan
-        already in flight.
+        byte the one the full scan finds.
+
+        The indexed scan costs O(pool) for the Load-signature buckets
+        plus a sort of the survivors by the scan key, never a walk of
+        the whole order: the key is a strict total order and the
+        maintained order is sorted under current keys, so sorting the
+        survivors yields exactly the full order filtered to them.  The
+        returned list is a snapshot: entries removed concurrently stay
+        visible to a scan already in flight.
         """
         load_sigs = plan.load_signature_set()
         counts = dict(plan.signature_counts())
         with self._lock:
-            ordered = self._ordered_entries_locked()
-            total = len(ordered)
-            stats = MatchScanStats(entries_total=total)
             if not indexed:
-                stats.candidates = total
+                ordered = self._ordered_entries_locked()
+                stats = MatchScanStats(
+                    entries_total=len(ordered), candidates=len(ordered)
+                )
                 self.index_stats.scans += 1
-                self.index_stats.candidates_examined += total
+                self.index_stats.candidates_examined += len(ordered)
                 return ordered, stats
-            pool = self._load_sig_pool(load_sigs)
-            if pool:
-                keep = {
+            if self.ordering_enabled:
+                self._flush_pending_locked()
+                scan_key = self._order_key
+            else:
+                scan_key = self._seq.__getitem__
+            keep = sorted(
+                (
                     eid
-                    for eid in pool
+                    for eid in self._load_sig_pool(load_sigs)
                     if eid in self._sig_counts
                     and self._counts_contained(self._sig_counts[eid], counts)
-                }
-            else:
-                keep = set()
-            candidates = [e for e in ordered if e.entry_id in keep]
-            stats.candidates = len(candidates)
-            stats.pruned = total - len(candidates)
+                ),
+                key=scan_key,
+            )
+            candidates = [self._entries[eid] for eid in keep]
+            stats = MatchScanStats(
+                entries_total=len(self._entries),
+                candidates=len(candidates),
+                pruned=len(self._entries) - len(candidates),
+            )
             self.index_stats.scans += 1
             self.index_stats.candidates_examined += stats.candidates
             self.index_stats.candidates_pruned += stats.pruned
@@ -691,15 +713,16 @@ class Repository:
         With ``reposition`` each *other* entry whose score grew is
         re-placed immediately — ``_sorted`` must stay sorted under
         current keys at every step, or later ``insort`` calls bisect a
-        stale list.  Batch flushes pass False: one final total-order
-        sort supersedes every intermediate placement.
+        stale list.  A batch flush that ends in a sort passes False:
+        the one total-order sort supersedes every intermediate
+        placement.
         """
         entry = self._entries[entry_id]
         counts = self._sig_counts[entry_id]
         pool = self._load_sig_pool(entry.plan.load_signature_set())
         pool.discard(entry_id)
         self._scores.setdefault(entry_id, 0)
-        for other_id in sorted(pool, key=lambda e: self._seq[e]):
+        for other_id in sorted(pool, key=self._seq.__getitem__):
             if other_id not in self._scores:
                 continue  # still pending; handled when it integrates
             other = self._entries[other_id]
@@ -721,7 +744,6 @@ class Repository:
         """Fold one pending entry into the maintained order: record its
         subsumption pairs (repositioning as scores change), insert by
         key."""
-        self.index_stats.order_integrations += 1
         self._compute_subsumptions(entry_id, reposition=True)
         insort(self._sorted, entry_id, key=self._order_key)
 
@@ -730,12 +752,23 @@ class Repository:
 
         Subsumption pairs are computed per entry exactly as the
         one-at-a-time path would (earlier batch entries are visible to
-        later ones, mirroring FIFO integration), but placement is paid
-        once: a single total-order sort of the merged list replaces
-        per-entry ``insort`` and per-move repositioning.
+        later ones, mirroring FIFO integration).  Placement takes the
+        cheaper strategy for the observed sizes: a sort evaluates the
+        scan key of every integrated entry, bisection about
+        log2(len(order)) keys per batch entry.  A batch small next to
+        the integrated order is therefore placed entry by entry with
+        :meth:`_integrate`; a bulk load onto an empty or small order
+        pays one total-order sort of the merged list.  Both end in the
+        same list, since the key is a strict total order.
         """
         self.index_stats.batch_flushes += 1
         self.index_stats.batch_entries += len(batch)
+        integrated = len(self._sorted)
+        if len(batch) * integrated.bit_length() < integrated:
+            self.index_stats.batch_bisections += len(batch)
+            for entry_id in batch:
+                self._integrate(entry_id)
+            return
         for entry_id in batch:
             self._compute_subsumptions(entry_id, reposition=False)
         self._sorted.extend(batch)
@@ -745,6 +778,7 @@ class Repository:
         if not self._pending:
             return
         if len(self._pending) == 1:
+            self.index_stats.order_integrations += 1
             self._integrate(self._pending.pop(0))
             return
         batch, self._pending = self._pending, []
@@ -779,17 +813,19 @@ class Repository:
     def ordered_entries(self) -> List[RepositoryEntry]:
         """Entries in match-scan order (best candidates first).
 
-        Single stable sort by (subsumption score desc, io ratio desc,
-        exec time desc, insertion order) — provably the same order as
-        the historical two-pass stable sort, but maintained entry by
-        entry (or batch by batch) instead of recomputed O(n²) per
-        mutation.  Returns a snapshot safe to iterate without locks.
+        Ordered by (subsumption score desc, io ratio desc, exec time
+        desc, insertion order) — provably the same order as the
+        historical two-pass stable sort, but maintained entry by entry
+        (or batch by batch) instead of recomputed O(n²) per mutation.
+        Returns a snapshot safe to iterate without locks; building it
+        is O(n), which the indexed match scan avoids (see
+        :meth:`match_candidates`).
 
         Integration of pending entries (including its matcher
         traversals) runs under the repository lock — the §3 order is
-        global state, so upkeep is deliberately exclusive; batching
-        keeps that critical section short by amortizing list
-        maintenance across the whole pending set.
+        global state, so upkeep is deliberately exclusive; a pending
+        batch is placed by bisection or one sort, whichever costs
+        less for its size (see :meth:`_integrate_batch`).
         """
         with self._lock:
             return self._ordered_entries_locked()

@@ -39,7 +39,6 @@ class PhysicalPlan:
         # fingerprint caches, dropped on any structural mutation and
         # revalidated against per-operator versions (see _fp_token)
         self._fp_token: Optional[tuple] = None
-        self._fp_by_op: Dict[int, str] = {}
         self._fp_plan: Optional[str] = None
         self._fp_load_sigs: Optional[frozenset] = None
         self._fp_sig_counts: Optional[Dict[str, int]] = None
@@ -49,7 +48,6 @@ class PhysicalPlan:
     def _mutated(self) -> None:
         """Invalidate every cached fingerprint (structure changed)."""
         self._fp_token = None
-        self._fp_by_op = {}
         self._fp_plan = None
         self._fp_load_sigs = None
         self._fp_sig_counts = None
@@ -316,7 +314,6 @@ class PhysicalPlan:
             by_op[op.op_id] = hashlib.blake2b(
                 payload.encode("ascii"), digest_size=12
             ).hexdigest()
-        self._fp_by_op = by_op
         self._fp_plan = "|".join(
             sorted(by_op[s.op_id] for s in self.sinks())
         )
@@ -330,12 +327,6 @@ class PhysicalPlan:
         )
         self._fp_sig_counts = dict(counts)
         self._fp_token = token
-
-    def op_fingerprint(self, op: PhysicalOperator) -> str:
-        """Merkle fingerprint of *op*: digest of its signature hash
-        plus the ordered fingerprints of its inputs."""
-        self._ensure_fingerprints()
-        return self._fp_by_op[op.op_id]
 
     def fingerprint(self) -> str:
         """Canonical fingerprint of the whole DAG (sink-anchored).

@@ -196,18 +196,6 @@ def session_report(session: "ReStoreSession") -> str:
     return "\n".join(lines)
 
 
-def resilience_report(stats) -> str:
-    """One line of self-healing counters from a
-    :class:`~repro.service.jobservice.ServiceStats` (the bench summary
-    and the chaos tests read this surface)."""
-    return (
-        f"resilience: {stats.retried} retried, {stats.timeouts} "
-        f"timeout(s), {stats.quarantined_entries} quarantined, "
-        f"{stats.promotions} promotion(s), {stats.breaker_trips} "
-        f"breaker trip(s)"
-    )
-
-
 def comparison_table(
     labels: List[str], times_seconds: List[float], baseline_index: int = 0
 ) -> str:
